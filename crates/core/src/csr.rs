@@ -41,6 +41,30 @@ impl Csr {
         colidx: Vec<u32>,
         val: Vec<f64>,
     ) -> Self {
+        // Copy into aligned storage one array at a time, releasing each
+        // source as soon as it is copied, to lower the peak footprint.
+        let val = {
+            let aligned = AVec::from_slice(&val);
+            drop(val);
+            aligned
+        };
+        let colidx = {
+            let aligned = AVec::from_slice(&colidx);
+            drop(colidx);
+            aligned
+        };
+        Self::from_aligned_parts(nrows, ncols, rowptr, colidx, val)
+    }
+
+    /// [`Csr::from_parts`] over arrays already in aligned storage, which
+    /// the matrix adopts without a copy; same checks.
+    pub fn from_aligned_parts(
+        nrows: usize,
+        ncols: usize,
+        rowptr: Vec<usize>,
+        colidx: AVec<u32>,
+        val: AVec<f64>,
+    ) -> Self {
         assert_eq!(rowptr.len(), nrows + 1, "rowptr must have nrows+1 entries");
         assert_eq!(rowptr[0], 0, "rowptr must start at 0");
         assert_eq!(*rowptr.last().expect("nonempty rowptr"), colidx.len());
@@ -59,8 +83,8 @@ impl Csr {
             nrows,
             ncols,
             rowptr,
-            colidx: AVec::from_slice(&colidx),
-            val: AVec::from_slice(&val),
+            colidx,
+            val,
             isa: Isa::detect(),
             plan: PlanCache::new(),
         }
@@ -154,6 +178,26 @@ impl Csr {
         cols.binary_search(&(j as u32))
             .ok()
             .map(|k| self.row_vals(i)[k])
+    }
+
+    /// Whether `other` has the same shape and stores exactly the same
+    /// positions (values may differ) — the precondition of a value-only
+    /// [`FromCsr::set_values_from_csr`](crate::FromCsr::set_values_from_csr)
+    /// refresh.
+    pub fn same_pattern(&self, other: &Csr) -> bool {
+        self.ncols == other.ncols
+            && self.rowptr == other.rowptr
+            && self.colidx.as_slice() == other.colidx.as_slice()
+    }
+
+    /// A copy of the sparsity pattern without the values, for checking
+    /// later matrices against it.
+    pub fn pattern(&self) -> CsrPattern {
+        CsrPattern {
+            ncols: self.ncols,
+            rowptr: self.rowptr.clone(),
+            colidx: self.colidx.to_vec(),
+        }
     }
 
     /// Maximum nonzeros in any row (the ELLPACK width `L`).
@@ -286,6 +330,23 @@ impl Csr {
             let rp = &rowptr[part.item0..=part.item1];
             kernels::dispatch::csr_spmm_rows::<ADD>(isa, rp, colidx, val, x, win, k);
         });
+    }
+}
+
+/// The sparsity pattern of a CSR matrix without its values ([`Csr::pattern`]):
+/// what a caller keeps to tell whether a new matrix can take a value-only
+/// refresh, at a third of the matrix's footprint.
+#[derive(Clone, Debug)]
+pub struct CsrPattern {
+    ncols: usize,
+    rowptr: Vec<usize>,
+    colidx: Vec<u32>,
+}
+
+impl CsrPattern {
+    /// Whether `a` stores exactly these positions ([`Csr::same_pattern`]).
+    pub fn matches(&self, a: &Csr) -> bool {
+        self.ncols == a.ncols && self.rowptr == a.rowptr && self.colidx == a.colidx.as_slice()
     }
 }
 

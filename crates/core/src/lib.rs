@@ -84,7 +84,7 @@ pub use aligned::AVec;
 pub use baij::Baij;
 pub use codec::Codec;
 pub use coo::CooBuilder;
-pub use csr::Csr;
+pub use csr::{Csr, CsrPattern};
 pub use csr_perm::CsrPerm;
 pub use ellpack::{Ellpack, EllpackR};
 pub use exec::ExecCtx;

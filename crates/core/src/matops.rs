@@ -61,15 +61,36 @@ pub fn shift(a: &Csr, shift: f64) -> Csr {
 /// `C = gamma·I + alpha·A` — the Newton-system matrix `I − Δt·θ·J` of the
 /// θ-scheme in one pass (used by `sellkit_solvers::ts`).
 pub fn identity_plus_scaled(gamma: f64, alpha: f64, a: &Csr) -> Csr {
-    assert_eq!(a.nrows(), a.ncols(), "needs a square matrix");
-    let mut coo = CooBuilder::with_capacity(a.nrows(), a.ncols(), a.nnz() + a.nrows());
-    for i in 0..a.nrows() {
-        coo.push(i, i, gamma);
-        for (k, &c) in a.row_cols(i).iter().enumerate() {
-            coo.push(i, c as usize, alpha * a.row_vals(i)[k]);
-        }
+    let mut out = a.clone();
+    if identity_plus_scaled_in_place(gamma, alpha, &mut out) {
+        out
+    } else {
+        shift(&scale(a, alpha), gamma)
     }
-    coo.to_csr()
+}
+
+/// `A = gamma·I + alpha·A` in place, when every row stores its diagonal
+/// (as an assembled Jacobian does); otherwise returns `false` and leaves
+/// `a` untouched.  Bitwise equal to [`identity_plus_scaled`].
+pub fn identity_plus_scaled_in_place(gamma: f64, alpha: f64, a: &mut Csr) -> bool {
+    assert_eq!(a.nrows(), a.ncols(), "needs a square matrix");
+    let diag: Option<Vec<usize>> = (0..a.nrows())
+        .map(|i| {
+            let k = a.row_cols(i).binary_search(&(i as u32)).ok()?;
+            Some(a.rowptr()[i] + k)
+        })
+        .collect();
+    let Some(diag) = diag else {
+        return false;
+    };
+    let vals = a.values_mut();
+    for v in vals.iter_mut() {
+        *v *= alpha;
+    }
+    for k in diag {
+        vals[k] += gamma;
+    }
+    true
 }
 
 /// `A = diag(l) · A · diag(r)` in place (PETSc `MatDiagonalScale`).
@@ -216,6 +237,32 @@ mod tests {
         for i in 0..3 {
             assert!((gx[i] - (x[i] - 0.5 * jx[i])).abs() < 1e-14);
         }
+    }
+
+    #[test]
+    fn identity_plus_scaled_in_place_is_bitwise_the_coo_sum() {
+        let j = Csr::from_dense(3, 3, &[0.3, -0.0, 0.7, 1.1, -2.5, 0.0, 0.0, 0.9, 1e-17]);
+        let mut coo = CooBuilder::new(3, 3);
+        for i in 0..3 {
+            coo.push(i, i, 1.0);
+            for (k, &c) in j.row_cols(i).iter().enumerate() {
+                coo.push(i, c as usize, -0.5 * j.row_vals(i)[k]);
+            }
+        }
+        let want = coo.to_csr();
+        let mut got = j.clone();
+        assert!(identity_plus_scaled_in_place(1.0, -0.5, &mut got));
+        assert!(got.same_pattern(&want));
+        let bits = |a: &Csr| a.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+
+        // A row without its diagonal takes the pattern-changing path.
+        let no_diag = Csr::from_dense(2, 2, &[0.0, 1.0, 1.0, 0.0]);
+        let mut untouched = no_diag.clone();
+        assert!(!identity_plus_scaled_in_place(2.0, 3.0, &mut untouched));
+        assert_eq!(untouched.values(), no_diag.values());
+        let g = identity_plus_scaled(2.0, 3.0, &no_diag);
+        assert_eq!(g.to_dense(), vec![2.0, 3.0, 3.0, 2.0]);
     }
 
     #[test]

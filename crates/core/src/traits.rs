@@ -173,17 +173,35 @@ impl<T: Operator + ?Sized> SpMv for T {}
 pub trait FromCsr: Sized {
     /// Builds this format from a CSR matrix.
     fn from_csr(csr: &crate::csr::Csr) -> Self;
+
+    /// Overwrites the values from `csr`, which must have the sparsity
+    /// pattern this matrix was built from (PETSc's `SAME_NONZERO_PATTERN`
+    /// reassembly).  The result must equal `Self::from_csr(csr)`.  The
+    /// default rebuilds; formats with an in-place update override it and
+    /// keep their cached execution plans.
+    fn set_values_from_csr(&mut self, csr: &crate::csr::Csr) {
+        *self = Self::from_csr(csr);
+    }
 }
 
 impl FromCsr for crate::csr::Csr {
     fn from_csr(csr: &crate::csr::Csr) -> Self {
         csr.clone()
     }
+
+    fn set_values_from_csr(&mut self, csr: &crate::csr::Csr) {
+        assert!(self.same_pattern(csr), "pattern mismatch");
+        self.values_mut().copy_from_slice(csr.values());
+    }
 }
 
 impl<const C: usize> FromCsr for crate::sell::Sell<C> {
     fn from_csr(csr: &crate::csr::Csr) -> Self {
         crate::sell::Sell::<C>::from_csr(csr)
+    }
+
+    fn set_values_from_csr(&mut self, csr: &crate::csr::Csr) {
+        crate::sell::Sell::<C>::set_values_from_csr(self, csr);
     }
 }
 
@@ -217,6 +235,10 @@ impl<const C: usize> FromCsr for crate::sell_sigma::SellSigma<C> {
     /// cache behaviour benign.
     fn from_csr(csr: &crate::csr::Csr) -> Self {
         crate::sell_sigma::SellSigma::<C>::from_csr_sigma(csr, 4 * C)
+    }
+
+    fn set_values_from_csr(&mut self, csr: &crate::csr::Csr) {
+        crate::sell_sigma::SellSigma::<C>::set_values_from_csr(self, csr);
     }
 }
 

@@ -62,6 +62,15 @@ impl Precond for JacobiPc {
         debug_assert_eq!(r.len(), self.inv_diag.len());
         crate::vecops::pointwise_mult_ctx(ctx, z, &self.inv_diag, r);
     }
+
+    /// Any matrix of the same size will do: only the diagonal is read.
+    fn refresh(&mut self, a: &Csr) -> bool {
+        if a.nrows() != self.inv_diag.len() {
+            return false;
+        }
+        *self = Self::from_csr(a);
+        true
+    }
 }
 
 #[cfg(test)]

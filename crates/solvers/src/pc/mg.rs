@@ -11,14 +11,16 @@
 //! multiplications" — which is precisely why MG amplifies SpMV gains.
 //!
 //! Coarse operators are Galerkin products `A_{l+1} = P^T A_l P` computed by
-//! our own [`super::spgemm`].  The operator on each level is stored in a
-//! *generic* format `M`, so the whole hierarchy runs its SpMVs in SELL or
-//! CSR — as in the paper, where every level's MatMult uses the chosen
-//! matrix type.
+//! our own [`super::spgemm::Rap`], whose symbolic phase runs once per
+//! pattern: [`Precond::refresh`] reruns only the numeric phase for a new
+//! fine operator with the same pattern.  The operator on each level is
+//! stored in a *generic* format `M`, so the whole hierarchy runs its SpMVs
+//! in SELL or CSR — as in the paper, where every level's MatMult uses the
+//! chosen matrix type.
 
-use sellkit_core::{Apply, Csr, ExecCtx, FromCsr, MatShape, Operator as CoreOperator};
+use sellkit_core::{Apply, Csr, CsrPattern, ExecCtx, FromCsr, MatShape, Operator as CoreOperator};
 
-use super::spgemm::rap;
+use super::spgemm::Rap;
 use super::Precond;
 use crate::vecops;
 
@@ -88,12 +90,20 @@ struct Level<M> {
     inv_diag: Vec<f64>,
     /// Estimated λmax of `D⁻¹A` (for the Chebyshev smoother).
     emax: f64,
-    /// Prolongation from the next-coarser level up to this level.
-    /// `None` on the coarsest level.
-    p: Option<Csr>,
-    /// Restriction (`= Pᵀ`) from this level down.  `None` on coarsest.
-    r: Option<Csr>,
+    /// Transfers to the next-coarser level; `None` on the coarsest.
+    down: Option<Transfer>,
     n: usize,
+}
+
+/// The grid transfers between a level and the next-coarser one, with the
+/// symbolic Galerkin product that builds the coarser operator.
+struct Transfer {
+    /// Prolongation from the next-coarser level up to this level.
+    p: Csr,
+    /// Restriction (`= Pᵀ`) from this level down.
+    r: Csr,
+    /// `R·A·P` for this level's operator pattern.
+    rap: Rap,
 }
 
 /// Power iteration estimate of the largest eigenvalue of `D⁻¹A` (a few
@@ -136,6 +146,11 @@ fn estimate_emax(a: &Csr, inv_diag: &[f64]) -> f64 {
 /// A V-cycle multigrid preconditioner with Galerkin coarse operators.
 pub struct Multigrid<M> {
     levels: Vec<Level<M>>,
+    /// The Galerkin operators of levels 1.. in CSR, refilled in place by
+    /// [`Precond::refresh`].
+    coarse: Vec<Csr>,
+    /// Pattern of the fine operator the hierarchy was built for.
+    fine: CsrPattern,
     cfg: MultigridConfig,
     coarse_lu: Option<DenseLu>,
 }
@@ -145,60 +160,50 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
     ///
     /// `interps[l]` prolongates level `l+1` (coarser) to level `l`; the
     /// number of levels is `interps.len() + 1`.  Coarse operators are
-    /// `Pᵀ A P`.
+    /// `Pᵀ A P` on the structural pattern of [`Rap`].
     pub fn new(fine: &Csr, interps: &[Csr], cfg: MultigridConfig) -> Self {
         assert_eq!(
             fine.nrows(),
             fine.ncols(),
             "multigrid needs square operators"
         );
-        let mut levels: Vec<Level<M>> = Vec::with_capacity(interps.len() + 1);
-        let needs_emax = cfg.smoother == Smoother::Chebyshev;
-        let mut a_l = fine.clone();
+        let mut coarse: Vec<Csr> = Vec::with_capacity(interps.len());
+        let mut transfers = Vec::with_capacity(interps.len());
         for p in interps {
+            let a_l = coarse.last().unwrap_or(fine);
             assert_eq!(
                 p.nrows(),
                 a_l.nrows(),
                 "interpolation rows must match level size"
             );
             let r = p.transpose();
-            let a_next = rap(&r, &a_l, p);
-            let inv_d = inv_diag(&a_l);
-            let emax = if needs_emax {
-                estimate_emax(&a_l, &inv_d)
-            } else {
-                1.0
-            };
-            levels.push(Level {
-                a: M::from_csr(&a_l),
-                inv_diag: inv_d,
-                emax,
-                p: Some(p.clone()),
-                r: Some(r),
-                n: a_l.nrows(),
+            let rap = Rap::new(&r, a_l, p);
+            coarse.push(rap.product(&r, a_l, p));
+            transfers.push(Transfer {
+                p: p.clone(),
+                r,
+                rap,
             });
-            a_l = a_next;
         }
-        let coarse_lu = match cfg.coarse {
-            CoarseSolve::Direct => Some(DenseLu::factor(&a_l)),
-            CoarseSolve::Jacobi(_) => None,
-        };
-        let inv_d = inv_diag(&a_l);
-        let emax = if needs_emax {
-            estimate_emax(&a_l, &inv_d)
-        } else {
-            1.0
-        };
-        levels.push(Level {
-            a: M::from_csr(&a_l),
-            inv_diag: inv_d,
-            emax,
-            p: None,
-            r: None,
-            n: a_l.nrows(),
-        });
+        let mut transfers = transfers.into_iter();
+        let levels = std::iter::once(fine)
+            .chain(&coarse)
+            .map(|a_l| {
+                let (inv_diag, emax) = smoother_data(a_l, cfg.smoother);
+                Level {
+                    a: M::from_csr(a_l),
+                    inv_diag,
+                    emax,
+                    down: transfers.next(),
+                    n: a_l.nrows(),
+                }
+            })
+            .collect();
+        let coarse_lu = coarse_lu(&cfg, coarse.last().unwrap_or(fine));
         Self {
             levels,
+            fine: fine.pattern(),
+            coarse,
             cfg,
             coarse_lu,
         }
@@ -295,7 +300,8 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
         for i in 0..lev.n {
             res[i] = b[i] - ax[i];
         }
-        let r_op = lev.r.as_ref().expect("non-coarsest level has restriction");
+        let down = lev.down.as_ref().expect("non-coarsest level has transfers");
+        let r_op = &down.r;
         let nc = self.levels[l + 1].n;
         let mut res_c = vec![0.0; nc];
         r_op.apply(
@@ -309,7 +315,7 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
         let mut e_c = vec![0.0; nc];
         self.vcycle(l + 1, &res_c, &mut e_c);
 
-        let p_op = lev.p.as_ref().expect("non-coarsest level has prolongation");
+        let p_op = &down.p;
         let mut e_f = vec![0.0; lev.n];
         p_op.apply(
             &ExecCtx::serial(),
@@ -328,6 +334,53 @@ impl<M: CoreOperator + FromCsr> Precond for Multigrid<M> {
         let _pc = sellkit_obs::span("PCApply");
         z.fill(0.0);
         self.vcycle(0, r, z);
+    }
+
+    /// Reruns the numeric Galerkin products down the hierarchy and
+    /// refreshes every level's operator, smoother data and coarse LU in
+    /// place; bitwise the same as `Multigrid::new(fine, ..)`.  Returns
+    /// `false` if `fine`'s pattern differs from the one built for.
+    fn refresh(&mut self, fine: &Csr) -> bool {
+        if !self.fine.matches(fine) {
+            return false;
+        }
+        for l in 0..self.coarse.len() {
+            let (done, rest) = self.coarse.split_at_mut(l);
+            let a_l = done.last().unwrap_or(fine);
+            let t = self.levels[l]
+                .down
+                .as_ref()
+                .expect("non-coarsest level has transfers");
+            t.rap.numeric(&t.r, a_l, &t.p, rest[0].values_mut());
+        }
+        for (lev, a_l) in self
+            .levels
+            .iter_mut()
+            .zip(std::iter::once(fine).chain(&self.coarse))
+        {
+            lev.a.set_values_from_csr(a_l);
+            (lev.inv_diag, lev.emax) = smoother_data(a_l, self.cfg.smoother);
+        }
+        self.coarse_lu = coarse_lu(&self.cfg, self.coarse.last().unwrap_or(fine));
+        true
+    }
+}
+
+/// A level's smoother data: `D⁻¹` and, for Chebyshev, λmax of `D⁻¹A`.
+fn smoother_data(a: &Csr, smoother: Smoother) -> (Vec<f64>, f64) {
+    let inv_d = inv_diag(a);
+    let emax = match smoother {
+        Smoother::Chebyshev => estimate_emax(a, &inv_d),
+        Smoother::Jacobi => 1.0,
+    };
+    (inv_d, emax)
+}
+
+/// The dense factorization of the coarsest operator, when configured.
+fn coarse_lu(cfg: &MultigridConfig, coarsest: &Csr) -> Option<DenseLu> {
+    match cfg.coarse {
+        CoarseSolve::Direct => Some(DenseLu::factor(coarsest)),
+        CoarseSolve::Jacobi(_) => None,
     }
 }
 
@@ -527,7 +580,7 @@ mod tests {
         let a = laplace1d(n);
         let p = interp1d(n);
         let r = p.transpose();
-        let ac = super::super::spgemm::rap(&r, &a, &p);
+        let ac = Rap::new(&r, &a, &p).product(&r, &a, &p);
         let d = ac.to_dense();
         let nc = n / 2;
         for i in 0..nc {
@@ -587,6 +640,97 @@ mod tests {
         let inv_d = inv_diag(&a);
         let emax = estimate_emax(&a, &inv_d);
         assert!((1.5..=2.1).contains(&emax), "emax = {emax}");
+    }
+
+    /// A nonsymmetric 1D operator on the Laplacian's pattern plus a
+    /// second superdiagonal; `zeros` stores explicit ±0.0 in some
+    /// couplings, as a Jacobian at a seeded state does.
+    fn operator(n: usize, salt: f64, zeros: bool) -> Csr {
+        let mut b = CooBuilder::new(n, n);
+        for i in 0..n {
+            let t = (i as f64 * 0.7 + salt).sin();
+            b.push(i, i, 2.5 + 0.3 * t);
+            if i > 0 {
+                b.push(i, i - 1, -1.0 + 0.1 * t);
+            }
+            if i + 1 < n {
+                b.push(i, i + 1, -1.0 - 0.05 * t);
+            }
+            if i + 2 < n {
+                let v = if zeros && i % 3 != 0 { -0.0 } else { 0.2 * t };
+                b.push(i, i + 2, v);
+            }
+        }
+        b.to_csr()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_hierarchy<M: CoreOperator + FromCsr>(a: &Multigrid<M>, b: &Multigrid<M>) {
+        assert_eq!(a.coarse.len(), b.coarse.len());
+        for (x, y) in a.coarse.iter().zip(&b.coarse) {
+            assert!(x.same_pattern(y));
+            assert_eq!(bits(x.values()), bits(y.values()), "coarse operator");
+        }
+        for (x, y) in a.levels.iter().zip(&b.levels) {
+            assert_eq!(bits(&x.inv_diag), bits(&y.inv_diag), "inverse diagonal");
+            assert_eq!(x.emax.to_bits(), y.emax.to_bits(), "emax");
+        }
+        match (&a.coarse_lu, &b.coarse_lu) {
+            (Some(x), Some(y)) => assert_eq!(bits(&x.lu), bits(&y.lu), "coarse LU"),
+            (None, None) => {}
+            _ => panic!("coarse LU configured in one hierarchy only"),
+        }
+        let n = a.levels[0].n;
+        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
+        let (mut za, mut zb) = (vec![0.0; n], vec![0.0; n]);
+        a.apply(&r, &mut za);
+        b.apply(&r, &mut zb);
+        assert_eq!(bits(&za), bits(&zb), "V-cycle output");
+    }
+
+    fn refresh_is_bitwise_a_rebuild<M: CoreOperator + FromCsr>() {
+        let n = 64;
+        let interps = vec![interp1d(n), interp1d(n / 2)];
+        let j0 = operator(n, 0.0, true);
+        let j1 = operator(n, 1.3, false);
+        assert!(j0.same_pattern(&j1));
+        for smoother in [Smoother::Jacobi, Smoother::Chebyshev] {
+            for coarse in [CoarseSolve::Jacobi(8), CoarseSolve::Direct] {
+                let cfg = MultigridConfig {
+                    smoother,
+                    coarse,
+                    ..Default::default()
+                };
+                let mut mg = Multigrid::<M>::new(&j0, &interps, cfg);
+                assert!(mg.refresh(&j1));
+                assert_same_hierarchy(&mg, &Multigrid::<M>::new(&j1, &interps, cfg));
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_is_bitwise_a_rebuild_in_csr_and_sell() {
+        refresh_is_bitwise_a_rebuild::<Csr>();
+        refresh_is_bitwise_a_rebuild::<Sell8>();
+    }
+
+    #[test]
+    fn refresh_refuses_a_changed_pattern() {
+        let n = 32;
+        let interps = vec![interp1d(n)];
+        let mut mg: Multigrid<Sell8> = Multigrid::new(
+            &operator(n, 0.0, true),
+            &interps,
+            MultigridConfig::default(),
+        );
+        assert!(
+            !mg.refresh(&laplace1d(n)),
+            "pattern lost the second superdiagonal"
+        );
+        assert!(mg.refresh(&operator(n, 0.4, false)));
     }
 
     #[test]

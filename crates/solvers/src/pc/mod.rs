@@ -21,6 +21,8 @@ pub use jacobi::JacobiPc;
 pub use mg::{CoarseSolve, Multigrid, MultigridConfig, Smoother};
 pub use sor::SorPc;
 
+use sellkit_core::Csr;
+
 /// An approximate inverse: `z = M⁻¹ r`.
 pub trait Precond {
     /// Applies the preconditioner, overwriting `z`.
@@ -34,6 +36,14 @@ pub trait Precond {
     /// parallel path that is bitwise identical to the serial one.
     fn apply_ctx(&self, _ctx: &sellkit_core::ExecCtx, r: &[f64], z: &mut [f64]) {
         self.apply(r, z);
+    }
+
+    /// Re-sets the preconditioner up in place for `a`, a new matrix with
+    /// the pattern it was built from, so the result equals a fresh build
+    /// from `a`.  Returns `false` when it cannot, and the caller then
+    /// builds a new one; that is the default.
+    fn refresh(&mut self, _a: &Csr) -> bool {
+        false
     }
 }
 
@@ -91,15 +101,18 @@ impl<P1: Precond, P2: Precond> Precond for ChainPc<P1, P2> {
     }
 }
 
-/// Boxed preconditioners compose too.  `apply_ctx` is forwarded
-/// explicitly so a boxed [`JacobiPc`] keeps its parallel path instead of
-/// falling back to the trait default.
+/// Boxed preconditioners compose too.  `apply_ctx` and `refresh` are
+/// forwarded explicitly so a boxed [`JacobiPc`] keeps its parallel path
+/// and its in-place refresh instead of falling back to the trait defaults.
 impl Precond for Box<dyn Precond> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         (**self).apply(r, z);
     }
     fn apply_ctx(&self, ctx: &sellkit_core::ExecCtx, r: &[f64], z: &mut [f64]) {
         (**self).apply_ctx(ctx, r, z);
+    }
+    fn refresh(&mut self, a: &Csr) -> bool {
+        (**self).refresh(a)
     }
 }
 

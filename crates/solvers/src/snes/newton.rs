@@ -4,8 +4,14 @@
 //! converts it to the experiment's matrix format `M` (SELL or CSR — §7:
 //! "the Jacobian evaluation and its multiplication with input vectors
 //! dominate the simulation"), and solves the Newton system with GMRES.
+//!
+//! The setup is reused across iterations as PETSc reuses it for
+//! `SAME_NONZERO_PATTERN`: when a new Jacobian has the pattern of the last
+//! one, the preconditioner refreshes in place ([`Precond::refresh`]) and
+//! `M` takes the new values ([`FromCsr::set_values_from_csr`]), both
+//! bitwise equal to a rebuild.  Any other pattern rebuilds.
 
-use sellkit_core::{Csr, ExecCtx, FromCsr, Operator as CoreOperator};
+use sellkit_core::{Csr, CsrPattern, ExecCtx, FromCsr, Operator as CoreOperator};
 
 use crate::ksp::{gmres, KspConfig};
 use crate::operator::{CtxMatOperator, SeqDot};
@@ -146,8 +152,64 @@ impl NewtonResult {
     }
 }
 
+/// What one Newton iteration sets up from its Jacobian, kept for the next:
+/// the Jacobian's pattern (not its values), the preconditioner and the
+/// operator in format `M`.
+struct Setup<M, Pc> {
+    pattern: CsrPattern,
+    pc: Pc,
+    j_m: M,
+}
+
+impl<M: FromCsr, Pc: Precond> Setup<M, Pc> {
+    /// Builds the preconditioner, then converts the Jacobian to `M`.
+    fn build(j_csr: &Csr, pc_factory: impl Fn(&Csr) -> Pc) -> Self {
+        let pc = {
+            let _pc = sellkit_obs::span("PCSetUp");
+            pc_factory(j_csr)
+        };
+        let j_m = {
+            let _mc = sellkit_obs::span("MatConvert");
+            M::from_csr(j_csr)
+        };
+        sellkit_obs::counter("snes.jacobian.rebuild", 1.0);
+        Self {
+            pattern: j_csr.pattern(),
+            pc,
+            j_m,
+        }
+    }
+
+    /// Takes new values with the kept pattern: the preconditioner
+    /// refreshes in place (or is rebuilt if it cannot), then `M` takes the
+    /// values in place.  Same order as [`Setup::build`].
+    fn refresh(&mut self, j_csr: &Csr, pc_factory: impl Fn(&Csr) -> Pc) {
+        let refreshed = {
+            let _pc = sellkit_obs::span("PCSetUp");
+            let refreshed = self.pc.refresh(j_csr);
+            if !refreshed {
+                self.pc = pc_factory(j_csr);
+            }
+            refreshed
+        };
+        {
+            let _mc = sellkit_obs::span("MatConvert");
+            self.j_m.set_values_from_csr(j_csr);
+        }
+        sellkit_obs::counter(
+            if refreshed {
+                "snes.jacobian.refresh"
+            } else {
+                "snes.jacobian.rebuild"
+            },
+            1.0,
+        );
+    }
+}
+
 /// Solves `F(x) = 0` by Newton-GMRES with the Jacobian applied in format
-/// `M`; `pc_factory` builds a preconditioner from each assembled Jacobian.
+/// `M`; `pc_factory` builds a preconditioner from an assembled Jacobian
+/// whenever the last one cannot be refreshed in place.
 pub fn newton<M, Prob, Pc>(
     problem: &Prob,
     x: &mut [f64],
@@ -215,15 +277,25 @@ where
     }
 
     let mut fnorm_prev: Option<f64> = None;
+    let mut setup: Option<Setup<M, Pc>> = None;
     for it in 1..=cfg.max_it {
         // Assemble in CSR, run the linear solve in format M (as the paper's
         // experiments do: SELL carries every SpMV of the Newton systems).
-        let (pc, j_m) = {
+        // After the first iteration a Jacobian with the kept pattern is
+        // refreshed in place; any other pattern rebuilds.
+        let Setup { pc, j_m, .. } = {
             let _je = sellkit_obs::span("SNESJacobianEval");
-            let j_csr = problem.jacobian(x);
-            let pc = pc_factory(&j_csr);
-            let j_m = M::from_csr(&j_csr);
-            (pc, j_m)
+            let j_csr = {
+                let _a = sellkit_obs::span("Assemble");
+                problem.jacobian(x)
+            };
+            match setup.take().filter(|s| s.pattern.matches(&j_csr)) {
+                Some(mut kept) => {
+                    kept.refresh(&j_csr, &pc_factory);
+                    setup.insert(kept)
+                }
+                None => setup.insert(Setup::build(&j_csr, &pc_factory)),
+            }
         };
 
         // Solve J d = -F to the (possibly adaptive) inner tolerance.
@@ -234,8 +306,8 @@ where
             ..cfg.ksp
         };
         let lin = gmres(
-            &CtxMatOperator::new(&j_m, ctx),
-            &CtxPrecond::new(&pc, ctx),
+            &CtxMatOperator::new(&*j_m, ctx),
+            &CtxPrecond::new(&*pc, ctx),
             &SeqDot,
             &rhs,
             &mut d,

@@ -11,7 +11,8 @@
 //! with Newton's method; the Newton Jacobian is `I − Δt·θ·J_f`, re-assembled
 //! at every Newton iteration because the reaction term couples the unknowns
 //! nonlinearly (§7: "the Jacobian matrix needs to be updated at each Newton
-//! iteration").
+//! iteration").  Its pattern does not change, so Newton refreshes its setup
+//! in place after the first iteration of each step.
 
 use sellkit_core::{Csr, FromCsr, Operator as CoreOperator};
 
@@ -93,7 +94,6 @@ pub struct ThetaStepper {
 /// The per-step nonlinear system handed to Newton.
 struct StageProblem<'a, P: OdeProblem> {
     ode: &'a P,
-    u_n: &'a [f64],
     /// Explicit part: `uₙ + Δt(1−θ)·f(tₙ, uₙ)`, precomputed.
     explicit: Vec<f64>,
     t_next: f64,
@@ -110,13 +110,17 @@ impl<P: OdeProblem> NonlinearProblem for StageProblem<'_, P> {
         for i in 0..u.len() {
             g[i] = u[i] - self.explicit[i] - self.dt_theta * g[i];
         }
-        let _ = self.u_n;
     }
 
     fn jacobian(&self, u: &[f64]) -> Csr {
-        // G' = I − Δt·θ·J_f.
-        let jf = self.ode.rhs_jacobian(self.t_next, u);
-        sellkit_core::matops::identity_plus_scaled(1.0, -self.dt_theta, &jf)
+        // G' = I − Δt·θ·J_f, folded into the assembled J_f in place when
+        // every row stores its diagonal.
+        use sellkit_core::matops::{identity_plus_scaled, identity_plus_scaled_in_place};
+        let mut j = self.ode.rhs_jacobian(self.t_next, u);
+        if !identity_plus_scaled_in_place(1.0, -self.dt_theta, &mut j) {
+            j = identity_plus_scaled(1.0, -self.dt_theta, &j);
+        }
+        j
     }
 }
 
@@ -199,10 +203,8 @@ impl ThetaStepper {
             }
         }
 
-        let u_n = u.to_vec();
         let stage = StageProblem {
             ode,
-            u_n: &u_n,
             explicit,
             t_next: self.t + dt,
             dt_theta: dt * theta,

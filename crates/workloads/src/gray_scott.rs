@@ -18,7 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sellkit_core::{CooBuilder, Csr};
+use sellkit_core::{AVec, Csr};
 use sellkit_grid::Grid2D;
 use sellkit_solvers::ts::OdeProblem;
 
@@ -118,63 +118,101 @@ impl GrayScott {
 }
 
 impl GrayScott {
+    /// One Jacobian row in stencil order (centre, then the x and y
+    /// neighbours): for each stencil point, its node and the row's entries
+    /// in that node's `u` and `v` columns.  Off-centre blocks are diagonal
+    /// in the components, so one of the two is an explicit zero there
+    /// (PETSc's blocked preallocation stores it).
+    #[inline]
+    fn jacobian_row(&self, w: &[f64], row: usize, ih2: f64) -> [(usize, f64, f64); 5] {
+        let p = &self.params;
+        let (nx, ny) = (self.grid.nx, self.grid.ny);
+        let (node, c) = (row / 2, row % 2);
+        let (x, y) = (node % nx, node / nx);
+        let (u, v) = (w[2 * node], w[2 * node + 1]);
+        // Periodic neighbours, without a division per stencil point.
+        let left = if x == 0 { nx - 1 } else { x - 1 };
+        let right = if x + 1 == nx { 0 } else { x + 1 };
+        let down = if y == 0 { ny - 1 } else { y - 1 };
+        let up = if y + 1 == ny { 0 } else { y + 1 };
+        let (centre, off) = if c == 0 {
+            (
+                (-4.0 * p.d1 * ih2 + (-v * v - p.gamma), -2.0 * u * v),
+                (p.d1 * ih2 + 0.0, 0.0),
+            )
+        } else {
+            (
+                (
+                    v * v,
+                    -4.0 * p.d2 * ih2 + (2.0 * u * v - (p.gamma + p.kappa)),
+                ),
+                (0.0, p.d2 * ih2 + 0.0),
+            )
+        };
+        [
+            (node, centre.0, centre.1),
+            (y * nx + left, off.0, off.1),
+            (y * nx + right, off.0, off.1),
+            (down * nx + x, off.0, off.1),
+            (up * nx + x, off.0, off.1),
+        ]
+    }
+
     /// Assembles only the Jacobian rows in `rows` (half-open global row
     /// range), with **global** column indices — the block each MPI rank
     /// builds for [`DistMat::from_local_rows`] without ever forming the
     /// global matrix (how real PETSc applications assemble).
+    ///
+    /// Rows are written sorted, straight into aligned CSR storage.  On
+    /// grids of 2 or less periodic neighbours coincide; their entries are
+    /// summed in stencil order, as `CooBuilder` assembly sums duplicates.
     ///
     /// Requires the full state `w` only for the stencil neighbourhood of
     /// the owned rows; passing the whole vector keeps the API simple here.
     ///
     /// [`DistMat::from_local_rows`]: ../../sellkit_dist/dmat/struct.DistMat.html
     pub fn rhs_jacobian_rows(&self, _t: f64, w: &[f64], rows: std::ops::Range<usize>) -> Csr {
-        let p = &self.params;
         let n = self.grid.n_unknowns();
         assert!(rows.end <= n);
         let ih2 = 1.0 / (self.h * self.h);
-        let nlocal = rows.len();
-        let mut b = CooBuilder::with_capacity(nlocal, n, 10 * nlocal);
+        let mut rowptr = Vec::with_capacity(rows.len() + 1);
+        rowptr.push(0);
+        let cap = 10 * rows.len();
+        let mut colidx = AVec::<u32>::zeroed(cap);
+        let mut vals = AVec::<f64>::zeroed(cap);
+        let mut nnz = 0;
         for row in rows.clone() {
-            let (x, y, c) = self.grid.coords(row);
-            let (x, y) = (x as isize, y as isize);
-            let iu = self.grid.idx(x as usize, y as usize, 0);
-            let u = w[iu];
-            let v = w[iu + 1];
-            for (dx, dy) in [(0isize, 0isize), (-1, 0), (1, 0), (0, -1), (0, 1)] {
-                let center = dx == 0 && dy == 0;
-                let ju = self.grid.idx_wrap(x + dx, y + dy, 0);
-                let jv = self.grid.idx_wrap(x + dx, y + dy, 1);
-                let local = row - rows.start;
-                if c == 0 {
-                    let duu = if center {
-                        -4.0 * p.d1 * ih2
-                    } else {
-                        p.d1 * ih2
-                    };
-                    let (ruu, ruv) = if center {
-                        (-v * v - p.gamma, -2.0 * u * v)
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    b.push(local, ju, duu + ruu);
-                    b.push(local, jv, ruv);
-                } else {
-                    let dvv = if center {
-                        -4.0 * p.d2 * ih2
-                    } else {
-                        p.d2 * ih2
-                    };
-                    let (rvu, rvv) = if center {
-                        (v * v, 2.0 * u * v - (p.gamma + p.kappa))
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    b.push(local, ju, rvu);
-                    b.push(local, jv, dvv + rvv);
+            let mut blocks = self.jacobian_row(w, row, ih2);
+            // Insertion sort by node: stable, so duplicates keep stencil order.
+            for i in 1..blocks.len() {
+                let mut j = i;
+                while j > 0 && blocks[j - 1].0 > blocks[j].0 {
+                    blocks.swap(j - 1, j);
+                    j -= 1;
                 }
             }
+            let mut k = 0;
+            while k < blocks.len() {
+                let (node, mut du, mut dv) = blocks[k];
+                k += 1;
+                while k < blocks.len() && blocks[k].0 == node {
+                    du += blocks[k].1;
+                    dv += blocks[k].2;
+                    k += 1;
+                }
+                let col = 2 * node as u32;
+                colidx[nnz..nnz + 2].copy_from_slice(&[col, col + 1]);
+                vals[nnz..nnz + 2].copy_from_slice(&[du, dv]);
+                nnz += 2;
+            }
+            rowptr.push(nnz);
         }
-        b.to_csr()
+        if nnz < cap {
+            // Coinciding neighbours merged (grids of 2 or less): trim.
+            colidx = AVec::from_slice(&colidx[..nnz]);
+            vals = AVec::from_slice(&vals[..nnz]);
+        }
+        Csr::from_aligned_parts(rows.len(), n, rowptr, colidx, vals)
     }
 }
 
@@ -201,49 +239,10 @@ impl OdeProblem for GrayScott {
     /// Analytic Jacobian: 10 nonzeros per row — the 5-point diffusion
     /// stencil (diagonal in the components) plus the dense 2×2 reaction
     /// block at the grid point (§7: "the matrix consists of small 2 × 2
-    /// blocks. Each row has 10 elements").
-    fn rhs_jacobian(&self, _t: f64, w: &[f64]) -> Csr {
-        let p = &self.params;
-        let n = self.grid.n_unknowns();
-        let ih2 = 1.0 / (self.h * self.h);
-        let mut b = CooBuilder::with_capacity(n, n, 10 * n);
-        for y in 0..self.grid.ny as isize {
-            for x in 0..self.grid.nx as isize {
-                let iu = self.grid.idx(x as usize, y as usize, 0);
-                let iv = iu + 1;
-                let u = w[iu];
-                let v = w[iv];
-                // Full 2×2 blocks at all 5 stencil points, as PETSc's
-                // blocked preallocation stores them: off-center blocks are
-                // diagonal (cross-component entries are explicit zeros),
-                // so every row has exactly 10 stored elements (§7).
-                for (dx, dy) in [(0isize, 0isize), (-1, 0), (1, 0), (0, -1), (0, 1)] {
-                    let center = dx == 0 && dy == 0;
-                    let ju = self.grid.idx_wrap(x + dx, y + dy, 0);
-                    let jv = self.grid.idx_wrap(x + dx, y + dy, 1);
-                    let (duu, dvv) = if center {
-                        (-4.0 * p.d1 * ih2, -4.0 * p.d2 * ih2)
-                    } else {
-                        (p.d1 * ih2, p.d2 * ih2)
-                    };
-                    let (ruu, ruv, rvu, rvv) = if center {
-                        (
-                            -v * v - p.gamma,
-                            -2.0 * u * v,
-                            v * v,
-                            2.0 * u * v - (p.gamma + p.kappa),
-                        )
-                    } else {
-                        (0.0, 0.0, 0.0, 0.0)
-                    };
-                    b.push(iu, ju, duu + ruu);
-                    b.push(iu, jv, ruv);
-                    b.push(iv, ju, rvu);
-                    b.push(iv, jv, dvv + rvv);
-                }
-            }
-        }
-        b.to_csr()
+    /// blocks. Each row has 10 elements").  Full 2×2 blocks are stored at
+    /// all 5 stencil points, as PETSc's blocked preallocation stores them.
+    fn rhs_jacobian(&self, t: f64, w: &[f64]) -> Csr {
+        self.rhs_jacobian_rows(t, w, 0..self.grid.n_unknowns())
     }
 }
 
@@ -306,6 +305,88 @@ mod tests {
             for (li, g) in (start..end).enumerate() {
                 assert_eq!(block.row_cols(li), full.row_cols(g), "row {g} cols");
                 assert_eq!(block.row_vals(li), full.row_vals(g), "row {g} vals");
+            }
+        }
+    }
+
+    /// The five-point stencil in assembly order.
+    const STENCIL: [(isize, isize); 5] = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)];
+
+    /// The CooBuilder assembly the direct row writer replaced.
+    fn coo_jacobian(gs: &GrayScott, w: &[f64]) -> Csr {
+        let p = gs.params();
+        let g = gs.grid();
+        let n = g.n_unknowns();
+        let ih2 = 1.0 / (gs.spacing() * gs.spacing());
+        let mut b = sellkit_core::CooBuilder::with_capacity(n, n, 10 * n);
+        for y in 0..g.ny as isize {
+            for x in 0..g.nx as isize {
+                let iu = g.idx(x as usize, y as usize, 0);
+                let iv = iu + 1;
+                let (u, v) = (w[iu], w[iv]);
+                for (dx, dy) in STENCIL {
+                    let center = dx == 0 && dy == 0;
+                    let ju = g.idx_wrap(x + dx, y + dy, 0);
+                    let jv = g.idx_wrap(x + dx, y + dy, 1);
+                    let (duu, dvv) = if center {
+                        (-4.0 * p.d1 * ih2, -4.0 * p.d2 * ih2)
+                    } else {
+                        (p.d1 * ih2, p.d2 * ih2)
+                    };
+                    let (ruu, ruv, rvu, rvv) = if center {
+                        (
+                            -v * v - p.gamma,
+                            -2.0 * u * v,
+                            v * v,
+                            2.0 * u * v - (p.gamma + p.kappa),
+                        )
+                    } else {
+                        (0.0, 0.0, 0.0, 0.0)
+                    };
+                    b.push(iu, ju, duu + ruu);
+                    b.push(iu, jv, ruv);
+                    b.push(iv, ju, rvu);
+                    b.push(iv, jv, dvv + rvv);
+                }
+            }
+        }
+        b.to_csr()
+    }
+
+    fn assert_bitwise_eq(got: &Csr, want: &Csr, what: &str) {
+        assert!(got.same_pattern(want), "{what}: pattern");
+        let bits = |a: &Csr| a.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: values");
+    }
+
+    #[test]
+    fn direct_assembly_is_bitwise_the_coo_assembly() {
+        for grid in [1usize, 2, 3, 8, 64] {
+            let gs = GrayScott::new(grid, GrayScottParams::default());
+            let n = gs.dim();
+            // The seeded state (v = 0 outside the square, so explicit
+            // zeros of both signs) and a state nonzero everywhere.
+            let w0 = gs.initial_condition(3);
+            let w1: Vec<f64> = (0..n)
+                .map(|i| 0.3 + 0.6 * ((i * 7919 % 101) as f64) / 101.0)
+                .collect();
+            for w in [w0, w1] {
+                let want = coo_jacobian(&gs, &w);
+                assert_bitwise_eq(&gs.rhs_jacobian(0.0, &w), &want, &format!("grid {grid}"));
+                let cuts = [0, n / 3, n / 3 + 1, n];
+                for r in cuts.windows(2) {
+                    let block = gs.rhs_jacobian_rows(0.0, &w, r[0]..r[1]);
+                    let rows: Vec<usize> = (r[0]..=r[1]).map(|i| want.rowptr()[i]).collect();
+                    let lo = rows[0];
+                    let want_block = Csr::from_parts(
+                        r[1] - r[0],
+                        n,
+                        rows.iter().map(|k| k - lo).collect(),
+                        want.colidx()[lo..rows[rows.len() - 1]].to_vec(),
+                        want.values()[lo..rows[rows.len() - 1]].to_vec(),
+                    );
+                    assert_bitwise_eq(&block, &want_block, &format!("grid {grid} rows {r:?}"));
+                }
             }
         }
     }

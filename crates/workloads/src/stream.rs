@@ -38,6 +38,42 @@ impl StreamKernel {
     }
 }
 
+/// The STREAM scalar `s`.
+const SCALAR: f64 = 3.0;
+
+/// The arrays `a`, `b`, `c`, each filled with nonzero data so no kernel
+/// reads an untouched (shared zero) page.
+fn stream_arrays(n: usize) -> [Vec<f64>; 3] {
+    [
+        (0..n).map(|i| 1.0 + i as f64 * 0.5).collect(),
+        vec![2.0; n],
+        (0..n).map(|i| 0.5 + (i % 7) as f64).collect(),
+    ]
+}
+
+/// One execution of `kernel` over the arrays.
+fn stream_step(kernel: StreamKernel, [a, b, c]: &mut [Vec<f64>; 3]) {
+    let s = SCALAR;
+    match kernel {
+        StreamKernel::Copy => c.copy_from_slice(a),
+        StreamKernel::Scale => {
+            for (bi, ci) in b.iter_mut().zip(c.iter()) {
+                *bi = s * ci;
+            }
+        }
+        StreamKernel::Add => {
+            for ((ci, ai), bi) in c.iter_mut().zip(a.iter()).zip(b.iter()) {
+                *ci = ai + bi;
+            }
+        }
+        StreamKernel::Triad => {
+            for ((ai, bi), ci) in a.iter_mut().zip(b.iter()).zip(c.iter()) {
+                *ai = bi + s * ci;
+            }
+        }
+    }
+}
+
 /// Runs one STREAM kernel on `n`-element arrays, `reps` repetitions,
 /// reporting the best bandwidth (the standard STREAM methodology).
 pub fn run_stream(kernel: StreamKernel, n: usize, reps: usize) -> StreamResult {
@@ -46,39 +82,17 @@ pub fn run_stream(kernel: StreamKernel, n: usize, reps: usize) -> StreamResult {
         "arrays must dwarf the cache to measure bandwidth"
     );
     assert!(reps >= 1);
-    let s = 3.0f64;
-    let mut a: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
-    let mut b: Vec<f64> = vec![2.0; n];
-    let mut c: Vec<f64> = vec![0.0; n];
+    let mut arrays = stream_arrays(n);
 
     let bytes = n * kernel.bytes_per_elem();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        match kernel {
-            StreamKernel::Copy => {
-                c.copy_from_slice(&a);
-            }
-            StreamKernel::Scale => {
-                for i in 0..n {
-                    b[i] = s * c[i];
-                }
-            }
-            StreamKernel::Add => {
-                for i in 0..n {
-                    c[i] = a[i] + b[i];
-                }
-            }
-            StreamKernel::Triad => {
-                for i in 0..n {
-                    a[i] = b[i] + s * c[i];
-                }
-            }
-        }
+        stream_step(kernel, &mut arrays);
         let dt = t.elapsed().as_secs_f64();
         best = best.min(dt);
         // Defeat dead-code elimination.
-        std::hint::black_box((&a, &b, &c));
+        std::hint::black_box(&arrays);
     }
     StreamResult {
         best_gbs: bytes as f64 / best / 1e9,
@@ -109,6 +123,17 @@ mod tests {
         for (k, r) in run_all(1 << 16, 3) {
             assert!(r.best_gbs > 0.0, "{k:?}");
             assert_eq!(r.bytes, (1 << 16) * k.bytes_per_elem());
+        }
+    }
+
+    #[test]
+    fn triad_reads_nonzero_inputs() {
+        let mut arrays = stream_arrays(1 << 12);
+        stream_step(StreamKernel::Triad, &mut arrays);
+        let [a, b, c] = &arrays;
+        assert!(c.iter().all(|&v| v != 0.0), "c must hold data");
+        for i in 0..a.len() {
+            assert_eq!(a[i], b[i] + 3.0 * c[i], "a[{i}]");
         }
     }
 

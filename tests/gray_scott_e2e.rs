@@ -171,7 +171,8 @@ fn backward_euler_also_integrates_gray_scott() {
 /// The observability acceptance path: run the §7 stack with logging on,
 /// check the staged attribution (MatMult with nonzero modeled bytes under
 /// the solver stages), validate the JSON export against the schema, and
-/// leave `BENCH_gray_scott.json` at the repo root for CI to upload.
+/// leave `BENCH_gray_scott.json` in the target directory's `tmp/` for CI
+/// to upload (the tracked copy at the repo root is left alone).
 #[test]
 fn obs_report_attributes_the_solve_and_exports_json() {
     sellkit::obs::set_enabled(true);
@@ -201,6 +202,28 @@ fn obs_report_attributes_the_solve_and_exports_json() {
             .iter()
             .any(|e| e.path.contains("KSPSolve") && e.name == "MatMult"),
         "MatMult must appear nested under KSPSolve"
+    );
+
+    // Newton's setup shows its phases under the Jacobian evaluation, and the
+    // reuse counters show each step's first iteration rebuilding and the
+    // later ones refreshing in place.  Other tests in this binary may run
+    // while logging is on, so the counts are lower bounds.
+    for phase in ["Assemble", "PCSetUp", "MatConvert"] {
+        assert!(
+            rep.events
+                .iter()
+                .any(|e| e.name == phase && e.path.contains("SNESJacobianEval>")),
+            "{phase} missing under SNESJacobianEval"
+        );
+    }
+    let count = |name: &str| rep.counters.get(name).copied().unwrap_or(0.0);
+    assert!(
+        count("snes.jacobian.rebuild") >= 2.0,
+        "one rebuild per step"
+    );
+    assert!(
+        count("snes.jacobian.refresh") >= 1.0,
+        "refresh after the first"
     );
 
     // JSON export validates against the schema, with roofline context from
@@ -240,7 +263,7 @@ fn obs_report_attributes_the_solve_and_exports_json() {
         "roof_pct {roof} inconsistent with gbs {gbs} at bw {bw}"
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_gray_scott.json");
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/BENCH_gray_scott.json");
     std::fs::write(path, format!("{text}\n")).expect("write bench report");
 }
 

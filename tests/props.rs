@@ -3,10 +3,12 @@
 //! Market round trips, and scatter-plan coverage.
 
 use proptest::prelude::*;
-use sellkit::core::{matops, Apply, Baij, CooBuilder, Csr, ExecCtx, Operator, Sbaij, Sell8};
+use sellkit::core::{
+    matops, Apply, Baij, CooBuilder, Csr, ExecCtx, MatShape, Operator, Sbaij, Sell8,
+};
 use sellkit::dist::{split_rows, DistMat, DistVec, VecScatter};
 use sellkit::mpisim::run;
-use sellkit::solvers::pc::spgemm::spgemm;
+use sellkit::solvers::pc::spgemm::{spgemm, Rap};
 use sellkit::solvers::pc::{Ilu0, Precond};
 use sellkit::workloads::matrix_market::{read_mtx, write_mtx};
 
@@ -36,6 +38,57 @@ proptest! {
         let right = spgemm(&a, &spgemm(&b, &c)).to_dense();
         for k in 0..n * n {
             prop_assert!((left[k] - right[k]).abs() < 1e-9, "entry {k}");
+        }
+    }
+
+    /// The split Galerkin product against the two-stage SpGEMM oracle on
+    /// random rectangular R/A/P with explicit zeros (±0.0), sums that
+    /// cancel to 0.0, and empty rows and columns: every entry the oracle
+    /// stores is bitwise equal, every extra structural entry is ±0.0 —
+    /// also for a second A with the same pattern and new values, through
+    /// the symbolic phase of the first.
+    #[test]
+    fn rap_numeric_is_bitwise_the_two_stage_spgemm(
+        dims in (1usize..7, 1usize..9, 1usize..9, 1usize..7),
+        er in prop::collection::vec((0usize..7, 0usize..9, 0usize..8), 0..20),
+        ea in prop::collection::vec((0usize..9, 0usize..9, 0usize..8), 0..40),
+        ep in prop::collection::vec((0usize..9, 0usize..7, 0usize..8), 0..20),
+        scramble in 0usize..8,
+    ) {
+        // Exact values that cancel, and values whose sums round, so a
+        // different summation order shows in the bits.
+        const VALS: [f64; 8] = [0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 1e16, -3e15];
+        let (m, k, l, n) = dims;
+        let build = |rows: usize, cols: usize, e: &[(usize, usize, usize)]| {
+            let mut b = CooBuilder::new(rows, cols);
+            for &(i, j, v) in e {
+                b.push(i % rows, j % cols, VALS[v]);
+            }
+            b.to_csr()
+        };
+        let r = build(m, k, &er);
+        let a = build(k, l, &ea);
+        let p = build(l, n, &ep);
+        let mut a2 = a.clone();
+        for (q, v) in a2.values_mut().iter_mut().enumerate() {
+            *v = VALS[(q + scramble) % VALS.len()];
+        }
+        let sym = Rap::new(&r, &a, &p);
+        for a in [&a, &a2] {
+            let oracle = spgemm(&spgemm(&r, a), &p);
+            let got = sym.product(&r, a, &p);
+            prop_assert_eq!((got.nrows(), got.ncols()), (m, n));
+            for i in 0..m {
+                for (&c, &v) in got.row_cols(i).iter().zip(got.row_vals(i)) {
+                    match oracle.get(i, c as usize) {
+                        Some(want) => prop_assert_eq!(v.to_bits(), want.to_bits(), "({}, {})", i, c),
+                        None => prop_assert!(v == 0.0, "extra entry ({}, {}) = {}", i, c, v),
+                    }
+                }
+                for &c in oracle.row_cols(i) {
+                    prop_assert!(got.get(i, c as usize).is_some(), "({}, {}) missing", i, c);
+                }
+            }
         }
     }
 

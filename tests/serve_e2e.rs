@@ -2,7 +2,8 @@
 //! against one [`Server`], proving the coalescing policy actually
 //! amortizes matrix traffic (the `12·nnz/k` argument of DESIGN.md §15),
 //! checking the distributed (sharded) tenant path against the local one,
-//! and leaving `BENCH_serve.json` at the repo root for CI to upload.
+//! and leaving `BENCH_serve.json` in the target directory's `tmp/` for CI
+//! to upload (the tracked copy at the repo root is left alone).
 //!
 //! Everything lives in **one** `#[test]`: the obs registry is process
 //! global, and the traffic assertions diff counter snapshots — a second
@@ -220,6 +221,6 @@ fn serve_coalesces_amortizes_traffic_and_exports_json() {
     };
     let text = rep.to_json_stamped(Some(bw), Some(&stamp));
     sellkit::obs::validate_report_json(&text).expect("schema-valid report");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serve.json");
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/BENCH_serve.json");
     std::fs::write(path, format!("{text}\n")).expect("write bench report");
 }
